@@ -1,8 +1,9 @@
 //! Micro-benchmarks for the hot paths of the reproduction: URL parsing,
 //! local-DB longest-prefix matching, the phase-1 block-page classifier,
-//! vote tallying, the Fig. 4 detector, the TCP transfer model, and the
-//! simnet event loop. These are the operations a deployed C-Saw proxy
-//! runs on every request.
+//! vote tallying, the Fig. 4 detector, the TCP transfer model, the
+//! simnet event loop, and the encode and decode of a per-AS list
+//! download. These are the operations a deployed C-Saw proxy runs on
+//! every request.
 //!
 //! Hand-rolled harness (`harness = false`): each benchmark is calibrated
 //! to a target wall time, then timed over a fixed iteration count and
@@ -23,6 +24,7 @@ use csaw_simnet::rng::DetRng;
 use csaw_simnet::tcp::{transfer_time, TcpConfig};
 use csaw_simnet::time::{SimDuration, SimTime};
 use csaw_simnet::topology::Asn;
+use csaw_store::{DbResponse, GlobalRecord};
 use csaw_webproto::url::Url;
 use std::hint::black_box;
 use std::time::{Duration, Instant};
@@ -242,6 +244,50 @@ fn bench_event_loop(filter: Option<&str>, out: &mut Vec<(String, u64)>) {
     });
 }
 
+/// A seeded RECORDS frame of `n` records, shaped like a per-AS list
+/// download: one AS, 45-byte URLs, one to three blocking stages each.
+fn records_frame(n: usize) -> csaw_webproto::codec::Frame {
+    const STAGES: [BlockingType; 4] = [
+        BlockingType::DnsHijack,
+        BlockingType::IpDrop,
+        BlockingType::HttpBlockPageInline,
+        BlockingType::SniDrop,
+    ];
+    let mut rng = DetRng::new(108);
+    let records = (0..n)
+        .map(|i| GlobalRecord {
+            url: format!(
+                "http://www.site{i:04}.as64512.example/p{:08x}",
+                rng.range_u64(0, 1 << 32)
+            ),
+            asn: Asn(64_512),
+            measured_at: SimTime::from_micros(rng.range_u64(1 << 32, 1 << 33)),
+            stages: (0..1 + rng.index(3))
+                .map(|_| STAGES[rng.index(STAGES.len())])
+                .collect(),
+            posted_at: SimTime::from_micros(rng.range_u64(1 << 33, 1 << 34)),
+            reporter: Uuid::from_raw(rng.range_u64(0, u64::MAX)),
+        })
+        .collect();
+    DbResponse::Records(records).to_frame()
+}
+
+/// Encode and client-side decode (`DbResponse::from_frame`) of a per-AS
+/// list download at the benchmark's list size and at about ten times
+/// it: the ratio of the two sizes shows how each scales with payload.
+fn bench_wire_records(filter: Option<&str>, out: &mut Vec<(String, u64)>) {
+    for n in [108, 1024] {
+        let frame = records_frame(n);
+        let resp = DbResponse::from_frame(&frame).unwrap();
+        bench(&format!("wire_records_encode_{n}"), filter, out, || {
+            black_box(&resp).to_frame()
+        });
+        bench(&format!("wire_records_decode_{n}"), filter, out, || {
+            DbResponse::from_frame(black_box(&frame)).unwrap()
+        });
+    }
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     // cargo bench passes --bench; any bare argument is a name filter;
@@ -276,6 +322,7 @@ fn main() {
     bench_local_db_insert(filter, out);
     bench_redundancy_parallel(filter, out);
     bench_event_loop(filter, out);
+    bench_wire_records(filter, out);
     if let Some(path) = json_out {
         if let Err(e) =
             csaw_bench::scorecard::Scorecard::merge_micro_file(&path, "microbench", 1, &results)

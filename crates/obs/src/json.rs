@@ -70,7 +70,8 @@ impl JsonValue {
     /// The value as a `u64`, if it is a non-negative integral number.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
-            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n <= u64::MAX as f64 => {
+            // `u64::MAX as f64` rounds up to 2^64, which is out of range.
+            JsonValue::Num(n) if *n >= 0.0 && n.fract() == 0.0 && *n < u64::MAX as f64 => {
                 Some(*n as u64)
             }
             _ => None,
@@ -439,12 +440,23 @@ impl<'a> Parser<'a> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("control char in string")),
                 Some(_) => {
-                    // Consume one UTF-8 scalar.
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid utf-8"))?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run of plain bytes up to the next
+                    // quote, backslash or control byte. The run ends on an
+                    // ASCII byte (or the end of input) and the input is a
+                    // `&str`, so it is whole UTF-8 scalars; validating only
+                    // the run keeps the decode linear in the input size.
+                    let start = self.pos;
+                    let rest = &self.bytes[start..];
+                    let len = rest
+                        .iter()
+                        .position(|&c| c == b'"' || c == b'\\' || c < 0x20)
+                        .unwrap_or(rest.len());
+                    let run = std::str::from_utf8(&rest[..len]).map_err(|_| JsonError {
+                        msg: "invalid utf-8",
+                        at: start,
+                    })?;
+                    out.push_str(run);
+                    self.pos += len;
                 }
             }
         }
@@ -526,6 +538,7 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use csaw_simnet::rng::DetRng;
 
     #[test]
     fn roundtrip_compact() {
@@ -577,5 +590,130 @@ mod tests {
     fn integers_stay_integral_in_output() {
         assert_eq!(JsonValue::Num(3.0).to_string_compact(), "3");
         assert_eq!(JsonValue::Num(3.25).to_string_compact(), "3.25");
+    }
+
+    #[test]
+    fn as_u64_rejects_out_of_range() {
+        let n = |s: &str| JsonValue::parse(s).unwrap().as_u64();
+        assert_eq!(n("18446744073709551616"), None); // 2^64
+        assert_eq!(n("9007199254740992"), Some(1 << 53));
+        // The largest f64 below 2^64 is still in range.
+        assert_eq!(n("18446744073709549568"), Some(u64::MAX - 2047));
+    }
+
+    /// A random scalar from one of the UTF-8 width classes, with the
+    /// specials (quote, backslash, controls) drawn often.
+    fn random_char(rng: &mut DetRng) -> char {
+        let cp = match rng.index(6) {
+            0 => ['"', '\\', '/', '\u{8}', '\u{c}', '\n', '\r', '\t'][rng.index(8)] as u32,
+            1 => rng.range_u64(0, 0x20) as u32,
+            2 => rng.range_u64(0x20, 0x80) as u32,
+            3 => rng.range_u64(0x80, 0x800) as u32,
+            4 => {
+                // Three-byte scalars, skipping the surrogate block.
+                let cp = rng.range_u64(0x800, 0x1_0000 - 0x800) as u32;
+                if cp >= 0xD800 {
+                    cp + 0x800
+                } else {
+                    cp
+                }
+            }
+            _ => rng.range_u64(0x1_0000, 0x11_0000) as u32,
+        };
+        char::from_u32(cp).unwrap()
+    }
+
+    /// `c` as JSON string text, raw or escaped at random: short escapes,
+    /// `\u` escapes in either hex case, surrogate pairs above the BMP.
+    fn push_encoded(c: char, rng: &mut DetRng, out: &mut String) {
+        let short = match c {
+            '"' => Some('"'),
+            '\\' => Some('\\'),
+            '/' => Some('/'),
+            '\u{8}' => Some('b'),
+            '\u{c}' => Some('f'),
+            '\n' => Some('n'),
+            '\r' => Some('r'),
+            '\t' => Some('t'),
+            _ => None,
+        };
+        let must_escape = c == '"' || c == '\\' || (c as u32) < 0x20;
+        match (rng.index(3), short) {
+            (0, _) if !must_escape => out.push(c),
+            (1, Some(e)) => {
+                out.push('\\');
+                out.push(e);
+            }
+            _ => {
+                let upper = rng.chance(0.5);
+                for u in c.encode_utf16(&mut [0u16; 2]) {
+                    out.push_str(&if upper {
+                        format!("\\u{u:04X}")
+                    } else {
+                        format!("\\u{u:04x}")
+                    });
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn random_strings_roundtrip() {
+        let mut rng = DetRng::new(0x6a73_6f6e);
+        for _ in 0..2_000 {
+            let len = rng.index(40);
+            let s: String = (0..len).map(|_| random_char(&mut rng)).collect();
+            let compact = JsonValue::from(s.as_str()).to_string_compact();
+            assert_eq!(JsonValue::parse(&compact), Ok(JsonValue::Str(s.clone())));
+            let mut text = String::from("\"");
+            for c in s.chars() {
+                push_encoded(c, &mut rng, &mut text);
+            }
+            text.push('"');
+            assert_eq!(
+                JsonValue::parse(&text),
+                Ok(JsonValue::Str(s.clone())),
+                "{text:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn malformed_strings_keep_their_error_offsets() {
+        for (bad, msg, at) in [
+            ("\"ab\u{1}c\"", "control char in string", 3),
+            ("\"é😀\nx\"", "control char in string", 7),
+            ("[\"ok\",\"x\u{1f}\"]", "control char in string", 8),
+            ("\"abc", "unterminated string", 4),
+            ("\"a😀", "unterminated string", 6),
+            ("\"a\\", "bad escape", 3),
+            ("{\"key", "unterminated string", 5),
+            ("\"\\ud800\"", "lone high surrogate", 7),
+            ("\"x\\ud83d", "lone high surrogate", 8),
+            ("\"\\udc00\"", "lone low surrogate", 7),
+            ("\"\\ud800\\u0041\"", "bad low surrogate", 13),
+            ("\"\\ud800\\n\"", "unexpected character", 8),
+            ("\"\\q\"", "bad escape", 2),
+            ("\"\\u12g4\"", "bad \\u escape", 5),
+        ] {
+            assert_eq!(JsonValue::parse(bad), Err(JsonError { msg, at }), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // A quadratic decode takes hours on these; a linear one takes
+        // milliseconds, even unoptimized, so the bound cannot flake.
+        const LEN: usize = 4 << 20;
+        let plain: String = "plain ascii, é and 😀 ".chars().cycle().take(LEN).collect();
+        let escaped = "a\\n".repeat(LEN / 3);
+        for body in [plain, escaped] {
+            let text = format!("\"{body}\"");
+            let t0 = std::time::Instant::now();
+            let v = JsonValue::parse(&text).unwrap();
+            let dt = t0.elapsed();
+            assert!(v.as_str().unwrap().len() >= LEN / 2);
+            assert!(dt < std::time::Duration::from_secs(5), "{dt:?}");
+        }
     }
 }
