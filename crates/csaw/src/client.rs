@@ -903,7 +903,7 @@ impl CsawClient {
             let wire = Report::encode_batch(&self.report_queue);
             let bad = match crate::global::Batch::from_wire(Uuid::from_raw(0), &wire, SimTime::ZERO)
             {
-                Err(crate::global::PostError::Malformed { index, .. }) => index,
+                Err(crate::global::StoreError::Malformed { index, .. }) => index,
                 Ok(batch) if batch.reports() == &self.report_queue[..] => return,
                 // A batch that decodes to *different* reports (lossy
                 // encoding) or breaks the envelope outright can't be
@@ -1065,7 +1065,7 @@ impl CsawClient {
     ) -> Result<crate::global::SubmitReceipt, crate::global::SubmitError> {
         let Some(uuid) = self.uuid else {
             return Err(crate::global::SubmitError::Rejected(
-                crate::global::PostError::UnknownClient,
+                crate::global::StoreError::UnknownClient,
             ));
         };
         self.quarantine_poison();

@@ -12,7 +12,8 @@
 //! carried the batch.
 
 use crate::global::record::{Report, Uuid};
-use crate::global::server::{PostError, ServerDb};
+use crate::global::server::ServerDb;
+use crate::global::StoreError;
 use csaw_simnet::rng::DetRng;
 use csaw_simnet::time::{SimDuration, SimTime};
 
@@ -33,7 +34,7 @@ pub enum SubmitError {
     /// Every collector was unreachable.
     AllCollectorsBlocked,
     /// The server rejected the batch.
-    Rejected(PostError),
+    Rejected(StoreError),
 }
 
 /// Outcome of a successful submission.
@@ -260,7 +261,7 @@ mod tests {
                 &mut rng,
             )
             .unwrap_err();
-        assert_eq!(err, SubmitError::Rejected(PostError::UnknownClient));
+        assert_eq!(err, SubmitError::Rejected(StoreError::UnknownClient));
     }
 
     #[test]

@@ -13,12 +13,11 @@ pub mod server;
 pub mod voting;
 
 pub use collectors::{Collector, CollectorSet, SubmitError, SubmitReceipt};
-pub use csaw_store::{Batch, IngestReceipt, JsonlStore, ShardedStore, StorageBackend, StoreError};
+pub use csaw_store::{Batch, IngestReceipt, ShardedStore, StorageBackend, StoreError};
 pub use record::{GlobalRecord, Report, Uuid, WireError};
 pub use remote::{GlobalApi, RemoteDb};
 pub use reputation::{audit, Flag, ReputationConfig};
 pub use server::{
-    BackendChoice, DeploymentStats, PostError, RegistrarConfig, RegistrationError, ServerDb,
-    ServerDbBuilder,
+    BackendChoice, DeploymentStats, RegistrarConfig, RegistrationError, ServerDb, ServerDbBuilder,
 };
 pub use voting::{ConfidenceFilter, Tally, VoteLedger};

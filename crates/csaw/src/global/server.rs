@@ -21,7 +21,7 @@ use csaw_censor::blocking::{BlockingType, Stage};
 use csaw_obs::metrics::{Counter, Gauge};
 use csaw_simnet::time::{SimDuration, SimTime};
 use csaw_simnet::topology::Asn;
-use csaw_store::{Batch, IngestReceipt, JsonlStore, ShardedStore, StorageBackend, StoreError};
+use csaw_store::{Batch, IngestReceipt, Journal, ShardedStore, StorageBackend, StoreError};
 use csaw_webproto::url::Url;
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -42,13 +42,6 @@ pub enum RegistrationError {
     /// reasonable — the gate never saw the attempt.
     Unavailable,
 }
-
-/// Update-posting failures.
-///
-/// Posting now fails with the store's unified [`StoreError`]; this
-/// alias keeps the historical name working. What used to be
-/// `PostError::Malformed` is [`StoreError::Wire`].
-pub type PostError = StoreError;
 
 /// Registration gate configuration.
 #[derive(Debug, Clone, Copy)]
@@ -157,14 +150,14 @@ impl ServerDbBuilder {
     /// Build the server. Zero shards or an unreadable/corrupt log are
     /// errors, not panics.
     pub fn build(self) -> Result<ServerDb, StoreError> {
-        let backend: Arc<dyn StorageBackend> = match self.backend {
-            BackendChoice::Memory => Arc::new(
+        let memory = || -> Result<Arc<dyn StorageBackend>, StoreError> {
+            Ok(Arc::new(
                 ShardedStore::new(self.shards)?.with_ingest_latency(self.measure_ingest_latency),
-            ),
-            BackendChoice::JsonlLog(path) => Arc::new(
-                JsonlStore::open(&path, self.shards)?
-                    .with_ingest_latency(self.measure_ingest_latency),
-            ),
+            ))
+        };
+        let backend: Arc<dyn StorageBackend> = match self.backend {
+            BackendChoice::Memory => memory()?,
+            BackendChoice::JsonlLog(path) => Arc::new(Journal::open(&path, memory()?)?),
             BackendChoice::Custom(b) => b,
         };
         Ok(ServerDb::from_parts(self.salt, self.registrar, backend))
@@ -356,20 +349,6 @@ impl ServerDb {
                 Err(e)
             }
         }
-    }
-
-    /// [`ServerDb::blocked_for_as`], unwrapped — a convenience for the
-    /// figure binaries, whose in-memory backends cannot fail and whose
-    /// plotting loops have no error story. Everything else should
-    /// handle the `Result`.
-    #[doc(hidden)]
-    pub fn blocked_for_as_infallible(
-        &self,
-        asn: Asn,
-        filter: &ConfidenceFilter,
-    ) -> Vec<GlobalRecord> {
-        self.blocked_for_as(asn, filter)
-            .expect("infallible backend promised by the caller")
     }
 
     /// Vote tally for a (URL, AS) — exposed for analytics.

@@ -44,7 +44,7 @@
 //! A dbserver can also act as a **read replica**: a leader streams its
 //! WAL over [`csaw_store::net::op::SHIP`] frames, and the reactor
 //! applies each line through [`csaw_store::wal::replay_line`] — the
-//! same code path `JsonlStore::open` replays on restart. The reactor
+//! same code path a file `Journal::open` replays on restart. The reactor
 //! tracks how many lines it has applied (`wal_applied_seq`) and acks
 //! that position after every shipment, which makes the protocol
 //! idempotent: a re-shipped overlap is skipped, and a shipment that

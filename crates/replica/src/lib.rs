@@ -12,20 +12,26 @@
 //!   safe: a tally is a pure function of the client→report-set maps
 //!   (voters sort before the float sum), so unioning those maps merges
 //!   votes without any coordination.
-//! - **WAL shipping** ([`ship`]): [`ReplicatedStore`] wraps any
-//!   [`StorageBackend`](csaw_store::StorageBackend) and records every
-//!   mutation as a [`csaw_store::wal`] line *before* applying it;
-//!   [`WalShipper`] streams those lines to per-region read replicas
-//!   over the length-framed `SHIP`/`SHIP_ACK` ops, tracking per-link
-//!   lag and staleness. Replicas apply shipped lines through the exact
-//!   replay path `JsonlStore::open` uses, so a caught-up replica is
+//! - **WAL shipping** ([`ship`]): [`ReplicatedStore`] is the one
+//!   [`csaw_store::wal::Journal`] with an in-memory log. It wraps any
+//!   [`StorageBackend`](csaw_store::StorageBackend) and appends every
+//!   mutation as a [`csaw_store::wal`] line and applies it under one
+//!   lock, so log order is apply order. [`WalShipper`] streams those
+//!   lines to per-region read replicas over the length-framed
+//!   `SHIP`/`SHIP_ACK` ops, tracking per-link lag and staleness.
+//!   Replicas apply shipped lines through the exact replay path a
+//!   file journal's `open` uses, so a caught-up replica is
 //!   state-identical to the leader — byte-identical under
 //!   [`StoreState::fingerprint`].
 //!
-//! Non-monotone operations (revoke, expire) are *not* merged — they
-//! ship only through the ordered WAL, where every replica applies them
-//! at the same log position. `merge` is for joining concurrent
-//! *ingest-only* divergence and for proving convergence after heals.
+//! The live store is *not* order-free: record insert is
+//! last-applied-wins, so even two ingests of one key at the same
+//! `posted_at` land differently in different orders. Only
+//! [`StoreState::merge`] is order-free. Non-monotone operations
+//! (revoke, remove-reporter, expire) are *not* merged — they ship only
+//! through the ordered WAL, where every replica applies them at the
+//! same log position. `merge` is for joining concurrent *ingest-only*
+//! divergence and for proving convergence after heals.
 //!
 //! ## Example
 //!

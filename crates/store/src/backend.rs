@@ -1,31 +1,18 @@
-//! The storage backend abstraction and the append-only JSONL backend.
+//! The storage backend abstraction.
 //!
 //! [`StorageBackend`] is the seam the server front-end programs against:
-//! the in-memory [`ShardedStore`] for
-//! simulation runs, [`JsonlStore`] when the deployment needs the global
-//! DB to survive a restart, or anything custom injected through the
-//! builder.
-//!
-//! The JSONL backend is a write-ahead log in the literal sense: every
-//! mutating operation is appended as one JSON line *before* it is
-//! applied to the wrapped in-memory store, and `open` rebuilds the
-//! store by replaying the log through the exact same code paths. The
-//! line codec itself lives in [`crate::wal`] so WAL shipping
-//! (`csaw-replica`) and restart replay share one implementation.
+//! the in-memory [`ShardedStore`](crate::shard::ShardedStore) for
+//! simulation runs, a file-backed [`Journal`](crate::wal::Journal) around
+//! it when the deployment needs the global DB to survive a restart, or
+//! anything custom injected through the builder.
 
 use crate::batch::{Batch, IngestReceipt};
 use crate::error::StoreError;
 use crate::ledger::{ConfidenceFilter, Tally, VoteLedger};
 use crate::record::{GlobalRecord, Uuid};
-use crate::shard::ShardedStore;
-use crate::wal;
-use csaw_obs::contention::TimedMutex;
 use csaw_simnet::time::{SimDuration, SimTime};
 use csaw_simnet::topology::Asn;
 use std::fmt;
-use std::fs::{File, OpenOptions};
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::path::{Path, PathBuf};
 
 /// What a global measurement store must provide. Object-safe so the
 /// server can hold `Arc<dyn StorageBackend>` and backends can be
@@ -81,147 +68,22 @@ pub trait StorageBackend: Send + Sync + fmt::Debug {
     }
 }
 
-/// An append-only JSONL write-ahead log wrapped around the in-memory
-/// sharded store. One line per mutating operation; [`JsonlStore::open`]
-/// replays the log through the normal ingest/revoke/expire paths, so a
-/// reopened store is state-identical to the one that wrote the log
-/// (stable FNV shard placement makes replay land every key on the same
-/// shard).
-pub struct JsonlStore {
-    inner: ShardedStore,
-    path: PathBuf,
-    log: TimedMutex<BufWriter<File>>,
-}
-
-impl fmt::Debug for JsonlStore {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("JsonlStore")
-            .field("path", &self.path)
-            .field("inner", &self.inner)
-            .finish_non_exhaustive()
-    }
-}
-
-impl JsonlStore {
-    /// Open (or create) a log at `path` over a fresh `shards`-way store,
-    /// replaying any existing operations. A truncated or hand-edited
-    /// line is [`StoreError::Corrupt`] with its line number.
-    pub fn open(path: &Path, shards: usize) -> Result<JsonlStore, StoreError> {
-        let inner = ShardedStore::new(shards)?;
-        if path.exists() {
-            let f = File::open(path).map_err(|e| StoreError::io(path, e))?;
-            for (no, line) in BufReader::new(f).lines().enumerate() {
-                let line = line.map_err(|e| StoreError::io(path, e))?;
-                if line.trim().is_empty() {
-                    continue;
-                }
-                wal::replay_line(&inner, &line)
-                    .map_err(|e| StoreError::Corrupt(format!("line {}: {e}", no + 1)))?;
-            }
-        }
-        let file = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(path)
-            .map_err(|e| StoreError::io(path, e))?;
-        Ok(JsonlStore {
-            inner,
-            path: path.to_path_buf(),
-            log: TimedMutex::new("store.wal.log", BufWriter::new(file)),
-        })
-    }
-
-    /// The log file this store appends to.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Record wall-clock per-batch ingest latency in the wrapped
-    /// in-memory store (see
-    /// [`ShardedStore::with_ingest_latency`]).
-    pub fn with_ingest_latency(mut self, on: bool) -> JsonlStore {
-        self.inner = self.inner.with_ingest_latency(on);
-        self
-    }
-
-    fn append(&self, mut line: String) -> Result<(), StoreError> {
-        line.push('\n');
-        let mut log = self.log.lock();
-        log.write_all(line.as_bytes())
-            .map_err(|e| StoreError::io(&self.path, e))?;
-        csaw_obs::inc("store.wal.appends");
-        csaw_obs::add("store.wal.bytes", line.len() as u64);
-        // Windowed WAL lag signal: appends per window on the timeline.
-        let tl = &csaw_obs::current().timeline;
-        if tl.enabled() {
-            tl.counter("store.wal.appends", &[]).inc();
-        }
-        Ok(())
-    }
-}
-
-impl StorageBackend for JsonlStore {
-    fn ingest(&self, batch: &Batch) -> Result<IngestReceipt, StoreError> {
-        self.append(wal::ingest_line(batch))?;
-        self.inner.ingest(batch)
-    }
-
-    fn blocked_for_as(
-        &self,
-        asn: Asn,
-        filter: &ConfidenceFilter,
-    ) -> Result<Vec<GlobalRecord>, StoreError> {
-        self.inner.blocked_for_as(asn, filter)
-    }
-
-    fn tally(&self, url: &str, asn: Asn) -> Tally {
-        self.inner.tally(url, asn)
-    }
-
-    fn revoke(&self, client: Uuid) {
-        // Best-effort on the revocation path: the in-memory retraction
-        // must happen even if the log write fails.
-        let _ = self.append(wal::revoke_line(client));
-        self.inner.revoke(client);
-    }
-
-    fn remove_reporter_records(&self, client: Uuid) -> usize {
-        let _ = self.append(wal::remove_reporter_line(client));
-        self.inner.remove_reporter_records(client)
-    }
-
-    fn expire_records(&self, now: SimTime, max_age: SimDuration) -> usize {
-        let _ = self.append(wal::expire_line(now, max_age));
-        self.inner.expire_records(now, max_age)
-    }
-
-    fn record_count(&self) -> usize {
-        self.inner.record_count()
-    }
-
-    fn for_each_record(&self, f: &mut dyn FnMut(&GlobalRecord)) {
-        self.inner.for_each_record(f)
-    }
-
-    fn ledger(&self) -> &VoteLedger {
-        self.inner.ledger()
-    }
-
-    fn shard_count(&self) -> usize {
-        self.inner.shard_count()
-    }
-
-    fn flush(&self) -> Result<(), StoreError> {
-        let mut log = self.log.lock();
-        log.flush().map_err(|e| StoreError::io(&self.path, e))
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    //! The file-backed journal as a restartable backend: replay on
+    //! open, write-through appends and torn-tail recovery.
     use super::*;
     use crate::record::Report;
+    use crate::shard::ShardedStore;
+    use crate::wal::{self, FileLog, Journal};
     use csaw_censor::blocking::BlockingType;
+    use csaw_obs::scope::{self, ObsCtx};
+    use std::path::{Path, PathBuf};
+    use std::sync::Arc;
+
+    fn open(path: &Path, shards: usize) -> Result<Journal<FileLog>, StoreError> {
+        Journal::open(path, Arc::new(ShardedStore::new(shards).unwrap()))
+    }
 
     fn tmp(name: &str) -> PathBuf {
         let mut p = std::env::temp_dir();
@@ -250,7 +112,7 @@ mod tests {
     fn replay_restores_records_and_votes() {
         let path = tmp("replay");
         {
-            let s = JsonlStore::open(&path, 4).unwrap();
+            let s = open(&path, 4).unwrap();
             s.ingest(&batch(0xdead_beef_dead_beef, "http://a.com/", 7, 10))
                 .unwrap();
             s.ingest(&batch(2, "http://a.com/", 7, 20)).unwrap();
@@ -258,7 +120,7 @@ mod tests {
             s.revoke(Uuid::from_raw(3));
             s.flush().unwrap();
         }
-        let s = JsonlStore::open(&path, 4).unwrap();
+        let s = open(&path, 4).unwrap();
         assert_eq!(s.record_count(), 2);
         let t = s.tally("http://a.com/", Asn(7));
         assert_eq!(t.n, 2);
@@ -281,7 +143,7 @@ mod tests {
     fn replay_is_shard_count_independent_in_content() {
         let path = tmp("shards");
         {
-            let s = JsonlStore::open(&path, 16).unwrap();
+            let s = open(&path, 16).unwrap();
             for c in 0..20u64 {
                 s.ingest(&batch(c, &format!("http://s{}.com/", c % 5), 1, c))
                     .unwrap();
@@ -289,7 +151,7 @@ mod tests {
             s.flush().unwrap();
         }
         // Reopen with a different stripe width: same logical state.
-        let s = JsonlStore::open(&path, 3).unwrap();
+        let s = open(&path, 3).unwrap();
         assert_eq!(s.shard_count(), 3);
         assert_eq!(s.record_count(), 5);
         let v = s
@@ -303,13 +165,13 @@ mod tests {
     fn corrupt_line_is_an_error_with_line_number() {
         let path = tmp("corrupt");
         std::fs::write(&path, "{\"op\":\"ingest\"}\n").unwrap();
-        let err = JsonlStore::open(&path, 2).unwrap_err();
+        let err = open(&path, 2).unwrap_err();
         match err {
             StoreError::Corrupt(msg) => assert!(msg.contains("line 1"), "{msg}"),
             other => panic!("expected Corrupt, got {other:?}"),
         }
         std::fs::write(&path, "not json at all\n").unwrap();
-        assert!(JsonlStore::open(&path, 2).is_err());
+        assert!(open(&path, 2).is_err());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -317,7 +179,7 @@ mod tests {
     fn expire_survives_replay() {
         let path = tmp("expire");
         {
-            let s = JsonlStore::open(&path, 2).unwrap();
+            let s = open(&path, 2).unwrap();
             s.ingest(&batch(1, "http://old.com/", 1, 1_000_000))
                 .unwrap();
             s.ingest(&batch(2, "http://new.com/", 1, 60_000_000))
@@ -328,11 +190,84 @@ mod tests {
             );
             s.flush().unwrap();
         }
-        let s = JsonlStore::open(&path, 2).unwrap();
+        let s = open(&path, 2).unwrap();
         assert_eq!(s.record_count(), 1);
         let mut urls = Vec::new();
         s.for_each_record(&mut |r| urls.push(r.url.clone()));
         assert_eq!(urls, ["http://new.com/"]);
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// Every record, as a sorted list, plus every tally of the keys the
+    /// mixed log below touches.
+    fn contents(s: &dyn StorageBackend) -> (Vec<String>, Vec<Tally>) {
+        let mut records = Vec::new();
+        s.for_each_record(&mut |r| records.push(format!("{r:?}")));
+        records.sort();
+        let tallies = ["http://a.com/", "http://b.com/", "http://c.com/"]
+            .iter()
+            .map(|u| s.tally(u, Asn(7)))
+            .collect();
+        (records, tallies)
+    }
+
+    #[test]
+    fn acked_ingests_are_on_disk_without_flush_or_drop() {
+        let path = tmp("write-through");
+        let s = open(&path, 4).unwrap();
+        for c in 0..3u64 {
+            s.ingest(&batch(c, &format!("http://w{c}.com/"), 7, c + 1))
+                .unwrap();
+        }
+        // A process crash: no flush, no drop.
+        std::mem::forget(s);
+        assert_eq!(open(&path, 4).unwrap().record_count(), 3);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn every_torn_tail_recovers_the_complete_prefix() {
+        let path = tmp("torn-full");
+        {
+            let s = open(&path, 4).unwrap();
+            s.ingest(&batch(1, "http://a.com/", 7, 10)).unwrap();
+            s.ingest(&batch(2, "http://a.com/", 7, 20)).unwrap();
+            s.ingest(&batch(3, "http://b.com/", 7, 5_000_000)).unwrap();
+            s.revoke(Uuid::from_raw(2));
+            s.remove_reporter_records(Uuid::from_raw(1));
+            s.expire_records(SimTime::from_secs(4), SimDuration::from_secs(1));
+            s.ingest(&batch(4, "http://c.com/", 7, 6_000_000)).unwrap();
+        }
+        let log = std::fs::read(&path).unwrap();
+        assert_eq!(log.iter().filter(|&&b| b == b'\n').count(), 7);
+        let cut = tmp("torn-cut");
+        for k in 0..=log.len() {
+            std::fs::write(&cut, &log[..k]).unwrap();
+            let complete = log[..k]
+                .iter()
+                .rposition(|&b| b == b'\n')
+                .map_or(0, |i| i + 1);
+            let expected = ShardedStore::new(4).unwrap();
+            for line in std::str::from_utf8(&log[..complete]).unwrap().lines() {
+                wal::replay_line(&expected, line).unwrap();
+            }
+            let ctx = Arc::new(ObsCtx::new());
+            let _g = scope::install(ctx.clone());
+            let s = open(&cut, 4).unwrap_or_else(|e| panic!("offset {k}: {e}"));
+            assert_eq!(contents(&s), contents(&expected), "offset {k}");
+            assert_eq!(
+                ctx.registry.counter("store.wal.torn_tail_bytes").get(),
+                (k - complete) as u64,
+                "offset {k}"
+            );
+            assert_eq!(std::fs::metadata(&cut).unwrap().len(), complete as u64);
+            s.ingest(&batch(9, "http://after.com/", 7, 9)).unwrap();
+            let n = s.record_count();
+            drop(s);
+            let reopened = open(&cut, 4).unwrap_or_else(|e| panic!("reopen at {k}: {e}"));
+            assert_eq!(reopened.record_count(), n, "offset {k}");
+        }
+        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_file(&cut);
     }
 }

@@ -25,10 +25,12 @@
 //!   deterministic tally — voters sort before the float sum, so the
 //!   result is independent of arrival order, thread count, and shard
 //!   count.
-//! - **Pluggable persistence** ([`backend`]): the [`StorageBackend`]
-//!   trait with two implementations — the in-memory [`ShardedStore`]
-//!   and the append-only [`JsonlStore`] write-ahead log that replays on
-//!   open.
+//! - **Pluggable persistence** ([`backend`], [`wal`]): the
+//!   [`StorageBackend`] trait, implemented by the in-memory
+//!   [`ShardedStore`] and by the [`Journal`] that wraps any backend in
+//!   a write-ahead log — kept in memory for replication or written to a
+//!   file that replays on open. Append and apply happen under one lock,
+//!   so log order is apply order.
 //! - **One error type** ([`error`]): every fallible path returns
 //!   [`StoreError`] — reads included ([`StorageBackend::blocked_for_as`]
 //!   is `Result`, so transiently-unavailable backends surface as errors
@@ -82,10 +84,11 @@ pub mod shard;
 pub(crate) mod swap;
 pub mod wal;
 
-pub use backend::{JsonlStore, StorageBackend};
+pub use backend::StorageBackend;
 pub use batch::{Batch, IngestReceipt};
 pub use error::StoreError;
 pub use ledger::{ConfidenceFilter, Tally, VoteLedger};
 pub use net::{DbRequest, DbResponse};
 pub use record::{GlobalRecord, Report, Uuid, WireError};
 pub use shard::ShardedStore;
+pub use wal::Journal;
